@@ -418,8 +418,7 @@ fn measure_scale(racks: u32, seed: u64) -> Result<ScaleResult, String> {
         ..astra_serve::ServeOptions::default()
     };
     let server = astra_core::serve::start_sites(
-        std::slice::from_ref(&dir),
-        ds.system,
+        &[(dir.clone(), ds.system)],
         &StreamOptions::default(),
         &serve_opts,
     )?;

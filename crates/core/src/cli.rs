@@ -18,6 +18,10 @@
 //! table/figure of the paper, `triage` prints the operational outputs
 //! (exclude list, retirement, replacement candidates).
 //!
+//! Every flag is one row of a table (`FLAGS`) that names the subcommands
+//! taking it: a flag given to any other subcommand is refused rather
+//! than dropped, and the usage text is generated from the same table.
+//!
 //! The binary in `src/bin/astra-mem.rs` is a thin shim over [`main`];
 //! keeping the implementation in the library makes every command path
 //! unit-testable and reusable.
@@ -43,160 +47,210 @@ use crate::reliability;
 use crate::stream::{self, Analyzer as _, StreamError, StreamOptions};
 use crate::tempcorr::TempCorrConfig;
 
-const USAGE: &str = "\
-astra-mem — memory-failure analysis toolkit (HPDC'22 Astra reproduction)
+const WORKER: &str = crate::shard::WORKER_COMMAND;
 
-USAGE:
-    astra-mem generate       [--profile P] [--racks N] [--seed S] [--format F] --out DIR
-    astra-mem profiles
-    astra-mem convert        DIR --to F [--out DIR2]
-    astra-mem analyze        DIR [--racks N]
-    astra-mem stream-analyze DIR [--racks N] [--checkpoint-every N --checkpoint FILE]
-                                 [--resume FILE] [--stop-after N --checkpoint FILE]
-                                 [--checkpoint-format F]
-    astra-mem shard-analyze  DIR [--shards N] [--timeout SECS] [--retries N]
-                                 [--degraded] [--racks N]
-    astra-mem serve          DIR [DIR ...] [--racks N] [--listen ADDR]
-                                 [--checkpoint-every SECS] [--poll-ms N]
-    astra-mem report         DIR [--racks N] [--seed S]
-    astra-mem triage         DIR [--racks N]
-    astra-mem stats          DIR [--racks N] [--check FILE]
-    astra-mem predict        DIR [--racks N] [--seed S]
-    astra-mem predict        --train DIR [--train DIR ...] --eval DIR [--eval DIR ...]
-    astra-mem fsck           DIR
-    astra-mem chaos          DIR [--seed S]
-    astra-mem trace          FILE
+/// Every subcommand, in usage order: name, operand synopsis, how many
+/// operands it takes, and what it does. `shard-worker` is the hidden
+/// mode `shard-analyze` spawns itself in; usage leaves it out.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, usize, &str)] = &[
+    ("generate", "", 0, "simulate a machine and write its ce/het/inventory/sensors logs (text, \
+        or astra-binlog columnar with --format binary; every reader auto-detects either) plus a \
+        manifest.txt recording the profile, seed, racks and format"),
+    ("profiles", "", 0, "list the registered platform profiles (calibration packs for different \
+        machine families; pick one with --profile)"),
+    ("convert", "DIR", 1, "re-encode a log directory to --to {text,binary}, in place unless --out \
+        names another directory; either direction round-trips byte-identically"),
+    ("analyze", "DIR", 1, "parse a log directory and print the fault summary"),
+    ("stream-analyze", "DIR", 1, "the same summary via the single-pass incremental engine: memory \
+        bounded by analyzer state, with optional checkpoint/resume"),
+    ("shard-analyze", "DIR", 1, "the same summary from supervised worker subprocesses, one per \
+        contiguous rack range. Workers that crash, hang past --timeout, or return a torn snapshot \
+        are retried with backoff; a shard that stays dead aborts the run, or with --degraded is \
+        reported as a `DEGRADED: missing racks R..R'` banner over the survivors (exit code 3)"),
+    ("serve", "DIR [DIR ...]", usize::MAX, "long-running daemon: tail every DIR as an independent \
+        site, checkpoint each to <dir>/serve.ckpt and resume from it on restart, and answer \
+        concurrent HTTP/1.1 queries (/health, /sites, /site/<name>/{analysis,spatial,alerts,\
+        quarantine}, /metrics, /metrics.jsonl) from immutable snapshots; /analysis is \
+        byte-identical to `analyze`. Stop with GET/POST /shutdown or by closing stdin"),
+    ("report", "DIR", 1, "render every table and figure of the paper"),
+    ("triage", "DIR", 1, "operational outputs: exclude list, retirement, replacements"),
+    ("stats", "DIR", 1, "pipeline health report: throughput, drop/skip rates, ratios (ingests \
+        leniently so it can diagnose dirty datasets)"),
+    ("predict", "[DIR]", 1, "replay the CE stream through online UE predictors and score them \
+        against the simulator's ground truth, re-derived from the manifest (or --racks/--seed). \
+        With --train/--eval instead of DIR: fit on each --train directory, score on every --eval \
+        directory, print the cross-platform transfer matrix"),
+    ("fsck", "DIR", 1, "print per log file what a lenient ingest would quarantine, by reason; \
+        exits nonzero when anything would be. Binary logs get a CRC sweep, no decode"),
+    ("chaos", "DIR", 1, "corrupt a dataset in place, deterministically (bit flips, truncation, \
+        foreign lines, reordering), and print the injected damage in fsck's format"),
+    ("trace", "FILE", 1, "print the flame table of a Chrome trace written by --trace-out: \
+        per-path counts, total vs self time, and peak/net memory"),
+    (WORKER, "DIR", 1, ""),
+];
 
-COMMANDS:
-    generate        simulate a machine; write ce/het/inventory/sensors logs
-                    (text lines by default, or the astra-binlog columnar
-                    format with --format binary — same file names, every
-                    reader auto-detects by magic bytes) plus a manifest.txt
-                    recording the platform profile, seed, racks, and format
-                    so consumers never have to guess the provenance
-    profiles        list the registered platform profiles (calibration packs
-                    for different machine families; pick one with --profile)
-    convert         re-encode a log directory to --to {text,binary}; writes
-                    in place unless --out names a second directory. Either
-                    direction round-trips: analysis output is byte-identical
-                    across formats
-    analyze         parse a log directory and print the fault summary
-    stream-analyze  same summary via the single-pass incremental engine:
-                    memory bounded by analyzer state, with optional
-                    checkpoint/resume (output is byte-identical to analyze)
-    shard-analyze   run the analysis as supervised worker subprocesses, one
-                    per contiguous rack range, and merge their serialized
-                    snapshots — stdout byte-identical to analyze at any
-                    shard count. Workers that crash, hang past --timeout,
-                    or return a torn snapshot are retried with exponential
-                    backoff; a shard that stays dead aborts the run
-                    (strict, default) or — with --degraded — is reported
-                    as a `DEGRADED: missing racks R..R'` banner over the
-                    merged survivors, with exit code 3
-    serve           long-running daemon: tail every DIR as an independent
-                    site (text or binary logs, auto-detected), checkpoint
-                    each to <dir>/serve.ckpt on a timer and resume from it
-                    on restart, and answer concurrent HTTP/1.1 queries
-                    (/health, /sites, /site/<name>/{analysis,spatial,
-                    alerts,quarantine}, /metrics, /metrics.jsonl) from
-                    immutable snapshots — a fully-ingested site's
-                    /analysis body is byte-identical to `analyze` output.
-                    Stop with GET/POST /shutdown or by closing stdin;
-                    both drain in-flight requests and checkpoint first
-    report          render every table and figure of the paper
-    triage          operational outputs: exclude list, retirement, replacements
-    stats           pipeline health report: throughput, drop/skip rates, ratios
-                    (ingests leniently so it can diagnose dirty datasets)
-    predict         replay the CE stream through online UE predictors; score
-                    precision/recall/lead time against simulator ground truth
-                    (re-derived from the directory's manifest — profile, racks,
-                    seed — or from --racks/--seed for legacy directories).
-                    With --train/--eval: fit a logistic predictor on each
-                    --train directory, score it on every --eval directory, and
-                    print the cross-platform transfer matrix
-    fsck            scan a log directory and print a per-file corruption
-                    report (what a lenient ingest would quarantine, by
-                    reason); exits nonzero when anything is quarantined.
-                    Binary logs are verified by a CRC sweep + header
-                    validation — no decode — so the scan is near I/O speed
-    chaos           deterministically corrupt a dataset in place (test tool:
-                    bit flips, truncation, foreign lines, reordering) and
-                    print the injected-corruption manifest in fsck's format
-    trace           read a Chrome trace JSON written by --trace-out and print
-                    the flame table: per-path invocation counts, total vs
-                    self time, and peak/net memory when the byte-counting
-                    allocator is measuring
+/// Who takes a flag, by group: the machine-shaping commands take
+/// --racks, --profile and (with `chaos`) --seed; the ingesting ones take
+/// --lenient and (with always-lenient `stats`) --max-bad-frac.
+#[rustfmt::skip]
+const EVERY: &[&str] = &["generate", "profiles", "convert", "analyze", "stream-analyze",
+    "shard-analyze", "serve", "report", "triage", "stats", "predict", "fsck", "chaos", "trace"];
+#[rustfmt::skip]
+const SHAPED: &[&str] = &["generate", "analyze", "stream-analyze", "shard-analyze", WORKER,
+    "serve", "report", "triage", "stats", "predict"];
+#[rustfmt::skip]
+const SEEDED: &[&str] = &["generate", "analyze", "stream-analyze", "shard-analyze", WORKER,
+    "serve", "report", "triage", "stats", "predict", "chaos"];
+#[rustfmt::skip]
+const INGEST: &[&str] = &["convert", "analyze", "stream-analyze", "shard-analyze", WORKER,
+    "serve", "report", "triage", "predict"];
+#[rustfmt::skip]
+const BUDGETED: &[&str] = &["convert", "analyze", "stream-analyze", "shard-analyze", WORKER,
+    "serve", "report", "triage", "predict", "stats"];
 
-OPTIONS:
-    --profile P           (generate) platform profile: astra (default),
-                          x86-ddr4, datacenter — see `astra-mem profiles`
-    --racks N             machine size in racks (default 4; Astra is 36)
-    --seed S              master seed (default 42)
-    --train DIR           (predict) dataset to fit a predictor on; repeatable
-    --eval DIR            (predict) dataset to score predictors on; repeatable
-    --out DIR             output directory for generate / convert
-    --format F            (generate) on-disk log format: text (default) or
-                          binary (astra-binlog columnar, ~10x faster to
-                          serialize+parse and a fraction of the bytes)
-    --to F                (convert) target format: text or binary
-    --metrics-out FILE    write all metrics as JSON lines to FILE on exit
-    --trace-out FILE      record the span timeline and write it as Chrome
-                          trace-event JSON to FILE on exit (any command;
-                          view in chrome://tracing or ui.perfetto.dev, or
-                          render with `astra-mem trace FILE`)
-    --check FILE          (stats) compare live metrics against the JSON-lines
-                          threshold file; exit nonzero on any violation
-    --lenient             quarantine unparseable lines instead of aborting
-    --max-bad-frac F      per-file quarantine budget for --lenient
-                          (fraction of lines, default 0.05; implies --lenient)
-    --shards N            (shard-analyze) worker subprocess count (default 2,
-                          clamped to the rack count)
-    --timeout SECS        (shard-analyze) per-attempt wall-clock deadline:
-                          a worker past it is killed, reaped, and retried
-                          (default 600)
-    --retries N           (shard-analyze) retries per shard after its first
-                          attempt (default 2)
-    --degraded            (shard-analyze) when a shard exhausts its retries,
-                          emit the merged survivors with a missing-racks
-                          banner and exit 3 instead of aborting
-    --checkpoint FILE     (stream-analyze) where to write checkpoints
-    --checkpoint-every N  (stream-analyze) checkpoint every N events;
-                          (serve) checkpoint every site every N seconds
-    --listen ADDR         (serve) bind address (default 127.0.0.1:7433;
-                          port 0 picks an ephemeral port — the bound
-                          address is printed on startup either way)
-    --poll-ms N           (serve) how often to re-probe dry logs for new
-                          records (default 200)
-    --resume FILE         (stream-analyze) resume from a checkpoint
-    --stop-after N        (stream-analyze) checkpoint and stop after N events
-    --checkpoint-format F (stream-analyze) checkpoint encoding: text
-                          (default) or binary; resume auto-detects either
-";
+/// One flag: name, value placeholder (empty for a switch), the commands
+/// that take it, how its value lands in [`Args`], and help (empty for
+/// the hidden worker's flags). This table drives parsing, the
+/// per-command check, the usage text and what `shard-analyze` forwards.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    takers: &'static [&'static str],
+    set: fn(&mut Args, &str) -> Result<(), String>,
+    help: &'static str,
+}
 
-#[derive(Debug)]
+#[rustfmt::skip]
+static FLAGS: &[Flag] = &[
+    Flag { name: "--profile", value: "P", takers: SHAPED, set: |a, v| put(&mut a.profile,
+            astra_platform::by_name(v).map(|_| v.into()).map_err(|e| e.to_string())),
+        help: "platform profile: astra (default), x86-ddr4, datacenter (see `astra-mem profiles`)" },
+    Flag { name: "--racks", value: "N", takers: SHAPED, set: |a, v| put(&mut a.racks, positive(v)),
+        help: "machine size in racks (default 4; Astra is 36)" },
+    Flag { name: "--seed", value: "S", takers: SEEDED, set: |a, v| put(&mut a.seed, number(v)),
+        help: "master seed (default 42)" },
+    Flag { name: "--train", value: "DIR", takers: &["predict"],
+        set: |a, v| { a.train_dirs.push(v.into()); Ok(()) },
+        help: "dataset to fit a predictor on; repeatable" },
+    Flag { name: "--eval", value: "DIR", takers: &["predict"],
+        set: |a, v| { a.eval_dirs.push(v.into()); Ok(()) },
+        help: "dataset to score predictors on; repeatable" },
+    Flag { name: "--out", value: "DIR", takers: &["generate", "convert"],
+        set: |a, v| put(&mut a.out, Ok(v.into())),
+        help: "output directory (generate requires it; convert defaults to in place)" },
+    Flag { name: "--format", value: "F", takers: &["generate"],
+        set: |a, v| { a.format = log_format(v)?; Ok(()) },
+        help: "on-disk log format: text (default) or binary (astra-binlog columnar, ~10x faster \
+            to serialize+parse and a fraction of the bytes)" },
+    Flag { name: "--to", value: "F", takers: &["convert"], set: |a, v| put(&mut a.to, log_format(v)),
+        help: "target format: text or binary" },
+    Flag { name: "--metrics-out", value: "FILE", takers: EVERY,
+        set: |a, v| put(&mut a.metrics_out, Ok(v.into())),
+        help: "write all metrics as JSON lines to FILE on exit" },
+    Flag { name: "--trace-out", value: "FILE", takers: EVERY,
+        set: |a, v| put(&mut a.trace_out, Ok(v.into())),
+        help: "record the span timeline and write it as Chrome trace-event JSON to FILE on exit \
+            (view in chrome://tracing or ui.perfetto.dev, or render with `astra-mem trace FILE`)" },
+    Flag { name: "--check", value: "FILE", takers: &["stats"],
+        set: |a, v| put(&mut a.check, Ok(v.into())),
+        help: "compare live metrics against the JSON-lines threshold file; exit nonzero on any \
+            violation" },
+    Flag { name: "--lenient", value: "", takers: INGEST, set: |a, _| { a.lenient = true; Ok(()) },
+        help: "quarantine unparseable lines instead of aborting" },
+    Flag { name: "--max-bad-frac", value: "F", takers: BUDGETED,
+        set: |a, v| put(&mut a.max_bad_frac, fraction(v)),
+        help: "per-file quarantine budget (fraction of lines, default 0.05; implies --lenient)" },
+    Flag { name: "--shards", value: "N", takers: &["shard-analyze"],
+        set: |a, v| put(&mut a.shards, positive(v)),
+        help: "worker subprocess count (default 2, clamped to the rack count)" },
+    Flag { name: "--timeout", value: "SECS", takers: &["shard-analyze"],
+        set: |a, v| put(&mut a.timeout_secs, positive(v)),
+        help: "per-attempt wall-clock deadline: a worker past it is killed, reaped, and retried \
+            (default 600)" },
+    Flag { name: "--retries", value: "N", takers: &["shard-analyze"],
+        set: |a, v| put(&mut a.retries, number(v)),
+        help: "retries per shard after its first attempt (default 2)" },
+    Flag { name: "--degraded", value: "", takers: &["shard-analyze"],
+        set: |a, _| { a.degraded = true; Ok(()) },
+        help: "when a shard exhausts its retries, emit the merged survivors with a missing-racks \
+            banner and exit 3 instead of aborting" },
+    Flag { name: "--checkpoint", value: "FILE", takers: &["stream-analyze", "serve"],
+        set: |a, v| put(&mut a.checkpoint, Ok(v.into())),
+        help: "where to write checkpoints (serve: single site only; default <dir>/serve.ckpt)" },
+    Flag { name: "--checkpoint-every", value: "N", takers: &["stream-analyze", "serve"],
+        set: |a, v| put(&mut a.checkpoint_every, positive(v)),
+        help: "stream-analyze: checkpoint every N events; serve: checkpoint every site every N \
+            seconds" },
+    Flag { name: "--resume", value: "FILE", takers: &["stream-analyze", "serve"],
+        set: |a, v| put(&mut a.resume, Ok(v.into())),
+        help: "resume from a checkpoint (serve: single site only)" },
+    Flag { name: "--stop-after", value: "N", takers: &["stream-analyze"],
+        set: |a, v| put(&mut a.stop_after, number(v)),
+        help: "checkpoint and stop after N events" },
+    Flag { name: "--listen", value: "ADDR", takers: &["serve"],
+        set: |a, v| put(&mut a.listen, Ok(v.into())),
+        help: "bind address (default 127.0.0.1:7433; port 0 picks an ephemeral port — the bound \
+            address is printed on startup either way)" },
+    Flag { name: "--poll-ms", value: "N", takers: &["serve"],
+        set: |a, v| put(&mut a.poll_ms, positive(v)),
+        help: "how often to re-probe dry logs for new records (default 200)" },
+    Flag { name: "--rack-lo", value: "L", takers: &[WORKER],
+        set: |a, v| put(&mut a.rack_lo, number(v)), help: "" },
+    Flag { name: "--rack-hi", value: "H", takers: &[WORKER],
+        set: |a, v| put(&mut a.rack_hi, number(v)), help: "" },
+    Flag { name: "--shard-index", value: "I", takers: &[WORKER],
+        set: |a, v| { a.shard_index = number(v)?; Ok(()) }, help: "" },
+    Flag { name: "--snapshot-out", value: "FILE", takers: &[WORKER],
+        set: |a, v| put(&mut a.snapshot_out, Ok(v.into())), help: "" },
+];
+
+fn put<T>(slot: &mut Option<T>, value: Result<T, String>) -> Result<(), String> {
+    *slot = Some(value?);
+    Ok(())
+}
+
+fn number<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| "not a valid number".to_string())
+}
+
+fn positive<T: FromStr + PartialOrd + From<u8>>(v: &str) -> Result<T, String> {
+    let n: T = number(v)?;
+    (n >= T::from(1))
+        .then_some(n)
+        .ok_or_else(|| "must be at least 1".into())
+}
+
+fn fraction(v: &str) -> Result<f64, String> {
+    let f: f64 = number(v)?;
+    (0.0..=1.0)
+        .contains(&f)
+        .then_some(f)
+        .ok_or_else(|| "must be between 0 and 1".into())
+}
+
+fn log_format(v: &str) -> Result<LogFormat, String> {
+    LogFormat::parse(v).ok_or_else(|| "expected text or binary".to_string())
+}
+
+/// The parsed command line. Every field starts unset (`Default`); the
+/// command that reads it applies the default its help states. Unset
+/// `racks`/`seed`/`profile` mean the manifest's value, else 4/42/astra.
+#[derive(Debug, Default)]
 struct Args {
     command: String,
     dir: Option<PathBuf>,
-    /// Additional site directories — only `serve` accepts more than one.
     extra_dirs: Vec<PathBuf>,
     listen: Option<String>,
-    poll_ms: u64,
-    /// `None` when `--racks` was not given: commands use the manifest's
-    /// recorded rack count when one exists, else the default of 4.
+    poll_ms: Option<u64>,
     racks: Option<u32>,
-    /// `None` when `--seed` was not given (manifest seed, else 42).
     seed: Option<u64>,
-    /// Platform profile name (`--profile`); `None` means the manifest's
-    /// recorded profile, else astra.
     profile: Option<String>,
-    /// (predict) training dataset directories for the transfer matrix.
     train_dirs: Vec<PathBuf>,
-    /// (predict) evaluation dataset directories for the transfer matrix.
     eval_dirs: Vec<PathBuf>,
     out: Option<PathBuf>,
     format: LogFormat,
     to: Option<LogFormat>,
-    checkpoint_format: LogFormat,
     metrics_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     check: Option<PathBuf>,
@@ -206,22 +260,17 @@ struct Args {
     checkpoint_every: Option<u64>,
     resume: Option<PathBuf>,
     stop_after: Option<u64>,
-    /// (shard-analyze) worker count; `None` means the default of 2.
     shards: Option<u32>,
-    /// (shard-analyze) per-attempt deadline in seconds.
-    timeout_secs: u64,
-    /// (shard-analyze) retries per shard after the first attempt.
-    retries: u32,
-    /// (shard-analyze) partial-results policy after retries run out.
+    timeout_secs: Option<u64>,
+    retries: Option<u32>,
     degraded: bool,
-    /// (shard-worker) first rack, inclusive.
     rack_lo: Option<u32>,
-    /// (shard-worker) last rack, exclusive.
     rack_hi: Option<u32>,
-    /// (shard-worker) which shard this worker is.
     shard_index: u32,
-    /// (shard-worker) where the serialized snapshot goes.
     snapshot_out: Option<PathBuf>,
+    /// The given flags `shard-worker` also takes, verbatim: what
+    /// `shard-analyze` replays, so an unset flag stays unset there too.
+    worker_flags: Vec<String>,
 }
 
 impl Args {
@@ -246,164 +295,120 @@ impl Args {
     }
 }
 
-/// Pull the `text`/`binary` format name that must follow `flag`.
-fn format_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<LogFormat, String> {
-    let v: String = flag_value(args, flag)?;
-    LogFormat::parse(&v).ok_or_else(|| {
-        format!(
-            "bad {} {v} (expected text or binary)",
-            flag.trim_start_matches('-')
-        )
-    })
-}
-
-/// Pull the value that must follow `flag`, parsed as `T`.
-fn flag_value<T: FromStr>(
-    args: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String> {
-    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("bad {} {v}", flag.trim_start_matches('-')))
-}
-
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let mut args = argv.into_iter();
-    let command = args.next().ok_or("missing command")?;
-    let mut parsed = Args {
-        command,
-        dir: None,
-        extra_dirs: Vec::new(),
-        listen: None,
-        poll_ms: 200,
-        racks: None,
-        seed: None,
-        profile: None,
-        train_dirs: Vec::new(),
-        eval_dirs: Vec::new(),
-        out: None,
-        format: LogFormat::Text,
-        to: None,
-        checkpoint_format: LogFormat::Text,
-        metrics_out: None,
-        trace_out: None,
-        check: None,
-        lenient: false,
-        max_bad_frac: None,
-        checkpoint: None,
-        checkpoint_every: None,
-        resume: None,
-        stop_after: None,
-        shards: None,
-        timeout_secs: 600,
-        retries: 2,
-        degraded: false,
-        rack_lo: None,
-        rack_hi: None,
-        shard_index: 0,
-        snapshot_out: None,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--racks" => {
-                let racks: u32 = flag_value(&mut args, "--racks")?;
-                if racks == 0 {
-                    return Err("--racks must be at least 1".into());
-                }
-                parsed.racks = Some(racks);
+    let mut argv = argv.into_iter();
+    let command = argv.next().ok_or("missing command")?;
+    let &(_, _, max_operands, _) = COMMANDS
+        .iter()
+        .find(|c| c.0 == command)
+        .ok_or_else(|| format!("unknown command {command}"))?;
+    let (mut a, mut operands) = (Args::default(), Vec::<PathBuf>::new());
+    while let Some(arg) = argv.next() {
+        if !arg.starts_with('-') {
+            if let (Some(first), 1) = (operands.first(), max_operands) {
+                let first = first.display();
+                return Err(format!(
+                    "unexpected second directory {arg} (already got {first})"
+                ));
             }
-            "--seed" => parsed.seed = Some(flag_value(&mut args, "--seed")?),
-            "--profile" => {
-                let name: String = flag_value(&mut args, "--profile")?;
-                // Fail at parse time with the registry listing, not deep
-                // inside a command with a bare name.
-                astra_platform::by_name(&name).map_err(|e| e.to_string())?;
-                parsed.profile = Some(name);
+            if max_operands == 0 {
+                return Err(format!("{command} takes no operand, got {arg}"));
             }
-            "--train" => parsed.train_dirs.push(flag_value(&mut args, "--train")?),
-            "--eval" => parsed.eval_dirs.push(flag_value(&mut args, "--eval")?),
-            "--out" => parsed.out = Some(flag_value(&mut args, "--out")?),
-            "--format" => parsed.format = format_value(&mut args, "--format")?,
-            "--to" => parsed.to = Some(format_value(&mut args, "--to")?),
-            "--checkpoint-format" => {
-                parsed.checkpoint_format = format_value(&mut args, "--checkpoint-format")?
-            }
-            "--metrics-out" => parsed.metrics_out = Some(flag_value(&mut args, "--metrics-out")?),
-            "--trace-out" => parsed.trace_out = Some(flag_value(&mut args, "--trace-out")?),
-            "--check" => parsed.check = Some(flag_value(&mut args, "--check")?),
-            "--lenient" => parsed.lenient = true,
-            "--max-bad-frac" => {
-                let frac: f64 = flag_value(&mut args, "--max-bad-frac")?;
-                if !(0.0..=1.0).contains(&frac) {
-                    return Err("--max-bad-frac must be between 0 and 1".into());
-                }
-                parsed.max_bad_frac = Some(frac);
-            }
-            "--checkpoint" => parsed.checkpoint = Some(flag_value(&mut args, "--checkpoint")?),
-            "--checkpoint-every" => {
-                parsed.checkpoint_every = Some(flag_value(&mut args, "--checkpoint-every")?)
-            }
-            "--resume" => parsed.resume = Some(flag_value(&mut args, "--resume")?),
-            "--listen" => parsed.listen = Some(flag_value(&mut args, "--listen")?),
-            "--poll-ms" => {
-                parsed.poll_ms = flag_value(&mut args, "--poll-ms")?;
-                if parsed.poll_ms == 0 {
-                    return Err("--poll-ms must be at least 1".into());
-                }
-            }
-            "--stop-after" => parsed.stop_after = Some(flag_value(&mut args, "--stop-after")?),
-            "--shards" => {
-                let shards: u32 = flag_value(&mut args, "--shards")?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                parsed.shards = Some(shards);
-            }
-            "--timeout" => {
-                parsed.timeout_secs = flag_value(&mut args, "--timeout")?;
-                if parsed.timeout_secs == 0 {
-                    return Err("--timeout must be at least 1 second".into());
-                }
-            }
-            "--retries" => parsed.retries = flag_value(&mut args, "--retries")?,
-            "--degraded" => parsed.degraded = true,
-            "--rack-lo" => parsed.rack_lo = Some(flag_value(&mut args, "--rack-lo")?),
-            "--rack-hi" => parsed.rack_hi = Some(flag_value(&mut args, "--rack-hi")?),
-            "--shard-index" => parsed.shard_index = flag_value(&mut args, "--shard-index")?,
-            "--snapshot-out" => {
-                parsed.snapshot_out = Some(flag_value(&mut args, "--snapshot-out")?)
-            }
-            other if !other.starts_with('-') => {
-                if let Some(first) = &parsed.dir {
-                    // Only the multi-tenant daemon takes several
-                    // directories; everywhere else a second positional is
-                    // almost certainly a typo, so keep rejecting it.
-                    if parsed.command == "serve" {
-                        parsed.extra_dirs.push(PathBuf::from(other));
-                    } else {
-                        return Err(format!(
-                            "unexpected second directory {other} (already got {})",
-                            first.display()
-                        ));
-                    }
-                } else {
-                    parsed.dir = Some(PathBuf::from(other));
-                }
-            }
-            other => return Err(format!("unknown argument {other}")),
+            operands.push(arg.into());
+            continue;
+        }
+        // The worker's own flags stay hidden from every other command.
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg && (f.takers != [WORKER] || command == WORKER))
+            .ok_or_else(|| format!("unknown argument {arg}"))?;
+        if !flag.takers.contains(&command.as_str()) {
+            let takers = flag.takers.iter().filter(|c| **c != WORKER);
+            let takers = takers.copied().collect::<Vec<_>>().join(", ");
+            return Err(format!(
+                "{command} does not take {arg}\nhint: {arg} is taken by {takers}"
+            ));
+        }
+        let value = match flag.value {
+            "" => String::new(),
+            _ => argv.next().ok_or_else(|| format!("{arg} needs a value"))?,
+        };
+        (flag.set)(&mut a, &value).map_err(|e| format!("{arg} {value}: {e}"))?;
+        if flag.takers.contains(&WORKER) {
+            a.worker_flags.push(arg);
+            a.worker_flags
+                .extend(Some(value).filter(|_| !flag.value.is_empty()));
         }
     }
-    Ok(parsed)
+    // Without a file, a cadence or stop would fail only after N events.
+    let needs_file = a.checkpoint_every.is_some() || a.stop_after.is_some();
+    if command == "stream-analyze" && needs_file && a.checkpoint.is_none() {
+        return Err("--checkpoint-every and --stop-after need --checkpoint FILE".into());
+    }
+    let mut operands = operands.into_iter();
+    (a.command, a.dir, a.extra_dirs) = (command, operands.next(), operands.collect());
+    Ok(a)
+}
+
+/// `words` after `head`, filled to 80 columns; continuation lines start
+/// at column `indent`.
+fn wrapped<S: AsRef<str>>(head: &str, indent: usize, words: impl IntoIterator<Item = S>) -> String {
+    let mut out = String::new();
+    let mut line = format!("{head:<0$}", indent - 1);
+    for word in words {
+        let word = word.as_ref();
+        if line.len() >= indent && line.len() + 1 + word.len() > 80 {
+            out = out + &line + "\n";
+            line = " ".repeat(indent - 1);
+        }
+        line.push(' ');
+        line.push_str(word);
+    }
+    out + line.trim_end() + "\n"
+}
+
+/// The usage text, generated from [`COMMANDS`] and [`FLAGS`].
+fn usage() -> String {
+    let synopsis = |f: &Flag| format!("[{} {}]", f.name, f.value).replace(" ]", "]");
+    let public = || COMMANDS.iter().filter(|c| c.0 != WORKER);
+    let mut out = String::from(
+        "astra-mem — memory-failure analysis toolkit (HPDC'22 Astra reproduction)\n\nUSAGE:\n",
+    );
+    for &(name, operands, _, _) in public() {
+        let flags = FLAGS
+            .iter()
+            .filter(|f| f.takers != EVERY && f.takers.contains(&name));
+        let head = format!("    astra-mem {name}");
+        let words = (!operands.is_empty()).then(|| operands.to_string());
+        out += &wrapped(&head, 29, words.into_iter().chain(flags.map(synopsis)));
+    }
+    let every = FLAGS.iter().filter(|f| f.takers == EVERY).map(synopsis);
+    out += &wrapped("  every command also takes", 29, every);
+    out += "\nCOMMANDS:\n";
+    for &(name, _, _, about) in public() {
+        out += &wrapped(&format!("    {name}"), 20, about.split_whitespace());
+    }
+    out += "\nOPTIONS:\n";
+    for f in FLAGS.iter().filter(|f| f.takers != [WORKER]) {
+        let head = format!("    {} {}", f.name, f.value);
+        out += &wrapped(&head, 26, f.help.split_whitespace());
+    }
+    out
 }
 
 /// Run the CLI on an argument list (without the program name). This is
 /// the whole binary: parse, dispatch, export metrics, map errors to the
 /// process exit code.
 pub fn main(argv: impl IntoIterator<Item = String>) -> ExitCode {
+    let mut argv = argv.into_iter().peekable();
+    if let Some("help" | "--help" | "-h") = argv.peek().map(String::as_str) {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let args = match parse_args(argv) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -432,10 +437,6 @@ pub fn main(argv: impl IntoIterator<Item = String>) -> ExitCode {
         "fsck" => cmd_fsck(&args),
         "chaos" => cmd_chaos(&args),
         "trace" => cmd_trace(&args),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
         other => Err(format!("unknown command {other}")),
     };
     // Export metrics and the trace even on failure: a run that died
@@ -821,7 +822,6 @@ fn cmd_stream_analyze(args: &Args) -> Result<(), String> {
         checkpoint_path: args.checkpoint.clone(),
         resume_from: args.resume.clone(),
         stop_after: args.stop_after,
-        checkpoint_format: args.checkpoint_format,
         ..StreamOptions::default()
     };
     let report = stream::stream_analyze(&dir, system, &opts).map_err(|e| match &e {
@@ -862,38 +862,19 @@ fn cmd_shard_analyze(args: &Args) -> Result<bool, String> {
     let dir = require_dir(args)?;
     let resolved = resolve_for_dir(args, &dir)?;
     let system = resolved.system;
-    // Workers re-resolve the dataset themselves, so replay exactly the
-    // provenance and ingest flags this process was given — nothing
-    // more: an unset flag must stay unset so the manifest keeps winning
-    // in the worker too.
-    let mut worker_flags: Vec<String> = Vec::new();
-    if let Some(p) = &args.profile {
-        worker_flags.extend(["--profile".into(), p.clone()]);
-    }
-    if let Some(racks) = args.racks {
-        worker_flags.extend(["--racks".into(), racks.to_string()]);
-    }
-    if let Some(seed) = args.seed {
-        worker_flags.extend(["--seed".into(), seed.to_string()]);
-    }
-    if args.lenient {
-        worker_flags.push("--lenient".into());
-    }
-    if let Some(frac) = args.max_bad_frac {
-        worker_flags.extend(["--max-bad-frac".into(), frac.to_string()]);
-    }
     let cfg = crate::shard::SupervisorConfig {
         dir: dir.clone(),
         system,
         shards: args.shards.unwrap_or(2),
-        timeout: std::time::Duration::from_secs(args.timeout_secs),
-        retries: args.retries,
+        timeout: std::time::Duration::from_secs(args.timeout_secs.unwrap_or(600)),
+        retries: args.retries.unwrap_or(2),
         degraded: args.degraded,
         seed: resolved.seed,
-        worker_flags,
+        // Workers re-resolve the dataset themselves, so replay exactly
+        // the provenance and ingest flags this process was given.
+        worker_flags: args.worker_flags.clone(),
         stream: StreamOptions {
             ingest: args.ingest(),
-            checkpoint_format: args.checkpoint_format,
             ..StreamOptions::default()
         },
     };
@@ -941,7 +922,6 @@ fn cmd_shard_worker(args: &Args) -> Result<(), String> {
         snapshot_out,
         stream: StreamOptions {
             ingest: args.ingest(),
-            checkpoint_format: args.checkpoint_format,
             ..StreamOptions::default()
         },
     })
@@ -954,21 +934,27 @@ fn cmd_shard_worker(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut dirs = vec![require_dir(args)?];
     dirs.extend(args.extra_dirs.iter().cloned());
-    if args.checkpoint.is_some() && dirs.len() > 1 {
-        return Err(
-            "--checkpoint FILE only works with a single site; multi-site serve \
-             checkpoints each site to <dir>/serve.ckpt"
-                .into(),
-        );
+    for (flag, given) in [
+        ("--checkpoint", args.checkpoint.is_some()),
+        ("--resume", args.resume.is_some()),
+    ] {
+        if given && dirs.len() > 1 {
+            return Err(format!(
+                "{flag} FILE only works with a single site; multi-site serve \
+                 checkpoints and resumes each site at <dir>/serve.ckpt"
+            ));
+        }
     }
-    // Fallback shape for manifest-less sites; sites with a manifest get
-    // their own recorded profile topology inside start_sites.
-    let system = SystemConfig::scaled(args.racks_or_default());
+    // Each site resolves its own manifest against the flags, like every
+    // other command: sites of different profiles or rack counts coexist.
+    let sites = dirs
+        .iter()
+        .map(|dir| Ok((dir.clone(), resolve_for_dir(args, dir)?.system)))
+        .collect::<Result<Vec<_>, String>>()?;
     let stream_opts = StreamOptions {
         ingest: args.ingest(),
         checkpoint_path: args.checkpoint.clone(),
         resume_from: args.resume.clone(),
-        checkpoint_format: args.checkpoint_format,
         ..StreamOptions::default()
     };
     let serve_opts = astra_serve::ServeOptions {
@@ -976,11 +962,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .listen
             .clone()
             .unwrap_or_else(|| "127.0.0.1:7433".to_string()),
-        poll_interval: std::time::Duration::from_millis(args.poll_ms),
+        poll_interval: std::time::Duration::from_millis(args.poll_ms.unwrap_or(200)),
         checkpoint_every: args.checkpoint_every.map(std::time::Duration::from_secs),
         ..astra_serve::ServeOptions::default()
     };
-    let server = crate::serve::start_sites(&dirs, system, &stream_opts, &serve_opts)?;
+    let server = crate::serve::start_sites(&sites, &stream_opts, &serve_opts)?;
     // The one startup line on stdout, flushed, so wrappers (tests, CI,
     // service managers) can scrape the actual port even with `:0`.
     println!("listening on http://{}", server.addr());
@@ -1601,6 +1587,11 @@ fn cmd_predict_transfer(args: &Args) -> Result<(), String> {
     if args.train_dirs.is_empty() || args.eval_dirs.is_empty() {
         return Err("transfer mode needs at least one --train DIR and one --eval DIR".to_string());
     }
+    if args.racks.is_some() || args.seed.is_some() || args.profile.is_some() {
+        return Err(
+            "transfer mode reads every directory's manifest; drop --racks/--seed/--profile".into(),
+        );
+    }
 
     // Load each distinct directory once, even when it appears on both
     // sides of the matrix (the diagonal baseline is the common case).
@@ -1686,7 +1677,7 @@ fn cmd_predict_transfer(args: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{cmd_convert, parse_args};
+    use super::{cmd_convert, parse_args, usage, COMMANDS, FLAGS, WORKER};
 
     fn argv(args: &[&str]) -> impl Iterator<Item = String> {
         args.iter()
@@ -1797,7 +1788,7 @@ mod tests {
 
     #[test]
     fn parses_profile_and_transfer_flags() {
-        let a = parse_args(argv(&["generate", "out", "--profile", "x86-ddr4"])).unwrap();
+        let a = parse_args(argv(&["generate", "--out", "out", "--profile", "x86-ddr4"])).unwrap();
         assert_eq!(a.profile.as_deref(), Some("x86-ddr4"));
         assert_eq!(a.racks, None);
         assert_eq!(a.seed, None);
@@ -1811,11 +1802,18 @@ mod tests {
         assert_eq!(a.train_dirs[1].to_str().unwrap(), "b");
 
         assert!(parse_args(argv(&["profiles"])).is_ok());
+
+        // Transfer mode reads manifests only, so a shape flag is refused.
+        let a = parse_args(argv(&[
+            "predict", "--train", "a", "--eval", "a", "--racks", "9",
+        ]));
+        let err = super::cmd_predict(&a.unwrap()).unwrap_err();
+        assert!(err.contains("--racks"), "{err}");
     }
 
     #[test]
     fn unknown_profile_is_rejected_at_parse_time_with_registry() {
-        let err = parse_args(argv(&["generate", "out", "--profile", "sparc"])).unwrap_err();
+        let err = parse_args(argv(&["generate", "--profile", "sparc"])).unwrap_err();
         assert!(err.contains("sparc"), "{err}");
         for name in astra_platform::PROFILE_NAMES {
             assert!(err.contains(name), "{err} should list {name}");
@@ -1879,14 +1877,6 @@ mod tests {
         assert_eq!(a.format, LogFormat::Binary);
         let a = parse_args(argv(&["convert", "/tmp/logs", "--to", "text"])).unwrap();
         assert_eq!(a.to, Some(LogFormat::Text));
-        let a = parse_args(argv(&[
-            "stream-analyze",
-            "/tmp/logs",
-            "--checkpoint-format",
-            "binary",
-        ]))
-        .unwrap();
-        assert_eq!(a.checkpoint_format, LogFormat::Binary);
         assert!(parse_args(argv(&["generate", "--format", "csv"])).is_err());
         assert!(parse_args(argv(&["convert", "d", "--to"])).is_err());
     }
@@ -1906,8 +1896,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(a.shards, Some(4));
-        assert_eq!(a.timeout_secs, 30);
-        assert_eq!(a.retries, 5);
+        assert_eq!(a.timeout_secs, Some(30));
+        assert_eq!(a.retries, Some(5));
         assert!(a.degraded);
 
         let w = parse_args(argv(&[
@@ -1989,7 +1979,7 @@ mod tests {
             vec!["siteB", "siteC"]
         );
         assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(a.poll_ms, 50);
+        assert_eq!(a.poll_ms, Some(50));
         assert_eq!(a.checkpoint_every, Some(30));
         assert!(parse_args(argv(&["serve", "d", "--poll-ms", "0"])).is_err());
         assert!(parse_args(argv(&["serve", "d", "--listen"])).is_err());
@@ -2002,5 +1992,130 @@ mod tests {
         assert!(parse_args(argv(&["analyze", "--metrics-out"])).is_err());
         assert!(parse_args(argv(&["stream-analyze", "--checkpoint-every"])).is_err());
         assert!(parse_args(argv(&["stream-analyze", "--stop-after", "x"])).is_err());
+    }
+
+    #[test]
+    fn every_flag_is_accepted_exactly_where_the_table_lists_it() {
+        for &(command, ..) in COMMANDS {
+            for flag in FLAGS {
+                let mut args = vec![command, flag.name];
+                args.extend(match (flag.value, flag.name) {
+                    ("", _) => None,
+                    (_, "--profile") => Some("astra"),
+                    (_, "--max-bad-frac") => Some("0.5"),
+                    (_, "--format" | "--to") => Some("binary"),
+                    _ => Some("1"),
+                });
+                if command == "stream-analyze" {
+                    args.extend(["--checkpoint", "ck"]);
+                }
+                let listed = flag.takers.contains(&command);
+                match parse_args(argv(&args)) {
+                    Ok(_) => assert!(listed, "{command} accepted unlisted {}", flag.name),
+                    Err(e) => {
+                        assert!(!listed, "{command} rejected listed {}: {e}", flag.name);
+                        assert!(
+                            e.contains("does not take") || e.contains("unknown argument"),
+                            "{e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn analyze_takes_only_the_flags_it_honours() {
+        let taken: Vec<&str> = FLAGS
+            .iter()
+            .filter(|f| f.takers.contains(&"analyze"))
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(
+            taken,
+            [
+                "--profile",
+                "--racks",
+                "--seed",
+                "--metrics-out",
+                "--trace-out",
+                "--lenient",
+                "--max-bad-frac"
+            ]
+        );
+        let err = parse_args(argv(&["analyze", "d", "--shards", "4"])).unwrap_err();
+        assert!(
+            err.contains("--shards") && err.contains("shard-analyze"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn stream_analyze_rejects_bad_checkpoint_flags_at_parse_time() {
+        for (args, want) in [
+            (
+                &["--checkpoint-every", "0", "--checkpoint", "ck"][..],
+                "at least 1",
+            ),
+            (&["--checkpoint-every", "5"][..], "--checkpoint FILE"),
+            (&["--stop-after", "5"][..], "--checkpoint FILE"),
+        ] {
+            let mut full = vec!["stream-analyze", "/nonexistent"];
+            full.extend(args);
+            let err = parse_args(argv(&full)).unwrap_err();
+            assert!(err.contains(want), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn shard_analyze_replays_only_what_its_workers_take() {
+        let a = parse_args(argv(&[
+            "shard-analyze",
+            "d",
+            "--racks",
+            "2",
+            "--shards",
+            "4",
+            "--lenient",
+            "--metrics-out",
+            "m.json",
+            "--max-bad-frac",
+            "0.1",
+        ]))
+        .unwrap();
+        assert_eq!(
+            a.worker_flags,
+            ["--racks", "2", "--lenient", "--max-bad-frac", "0.1"]
+        );
+    }
+
+    #[test]
+    fn operands_beyond_what_a_command_takes_are_rejected() {
+        assert!(parse_args(argv(&["generate", "out"])).is_err());
+        assert!(parse_args(argv(&["profiles", "x"])).is_err());
+        assert!(parse_args(argv(&["serve", "a", "b", "c"])).is_ok());
+    }
+
+    #[test]
+    fn usage_shows_every_public_flag_and_hides_the_worker() {
+        let text = usage();
+        for flag in FLAGS.iter().filter(|f| f.takers != [WORKER]) {
+            assert!(text.contains(flag.name), "usage lacks {}", flag.name);
+        }
+        for hidden in [WORKER, "--rack-lo", "--snapshot-out"] {
+            assert!(!text.contains(hidden), "usage shows {hidden}");
+        }
+        assert!(text.lines().all(|l| l.chars().count() <= 80), "{text}");
+    }
+
+    #[test]
+    fn readme_shows_the_generated_synopsis() {
+        let text = usage();
+        let synopsis = &text[..text.find("\nCOMMANDS:").unwrap()];
+        let readme = include_str!("../../../README.md");
+        assert!(
+            readme.contains(synopsis),
+            "README.md's Command line block is stale; paste in:\n{synopsis}"
+        );
     }
 }

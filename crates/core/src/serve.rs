@@ -18,7 +18,7 @@
 //! what `analyze` (or `stream-analyze`) would print for that directory.
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use astra_logs::QuarantineReason;
 use astra_serve::{ServeOptions, Server, SiteSnapshot, SiteSource, View};
@@ -251,35 +251,24 @@ fn quarantine_body(q: &astra_logs::Quarantine) -> String {
     out
 }
 
-/// Open every directory in `dirs` as a tenant and start the daemon.
+/// Open every `(directory, machine shape)` site as a tenant and start
+/// the daemon. The shapes come already resolved (the CLI resolves each
+/// site's manifest against its flags, as every other command does).
 /// `stream_opts` is cloned per site with `checkpoint_path` defaulted to
 /// `<dir>/serve.ckpt` when unset, so each tenant checkpoints (and
 /// auto-resumes) independently inside its own directory.
-///
-/// Each site's machine shape comes from its own `manifest.txt` when it
-/// has one (sites generated under different platform profiles or rack
-/// counts coexist in one daemon); `default_system` applies to
-/// manifest-less legacy sites. A damaged manifest fails startup — the
-/// daemon must not silently serve a site under the wrong topology.
 pub fn start_sites(
-    dirs: &[std::path::PathBuf],
-    default_system: SystemConfig,
+    sites: &[(PathBuf, SystemConfig)],
     stream_opts: &StreamOptions,
     serve_opts: &ServeOptions,
 ) -> Result<Server, String> {
-    let mut sources: Vec<Box<dyn SiteSource>> = Vec::with_capacity(dirs.len());
-    for dir in dirs {
-        let system = match crate::pipeline::load_manifest(dir).map_err(|e| e.to_string())? {
-            Some(m) => astra_platform::by_name(&m.profile)
-                .map_err(|e| format!("{}: {e}", dir.display()))?
-                .system(Some(m.racks)),
-            None => default_system,
-        };
+    let mut sources: Vec<Box<dyn SiteSource>> = Vec::with_capacity(sites.len());
+    for (dir, system) in sites {
         let mut opts = stream_opts.clone();
         if opts.checkpoint_path.is_none() {
             opts.checkpoint_path = Some(dir.join("serve.ckpt"));
         }
-        let source = EngineSource::open(dir, system, &opts)
+        let source = EngineSource::open(dir, *system, &opts)
             .map_err(|e| format!("{}: {e}", dir.display()))?;
         sources.push(Box::new(source));
     }

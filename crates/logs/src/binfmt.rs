@@ -3,8 +3,8 @@
 //! At the 36-rack scale the text formats are the pipeline wall clock —
 //! serialize + parse + fsck of ~1 GB of syslog-shaped text dwarfs the
 //! actual analysis. This module adds a compact binary peer for each of
-//! the four log formats, sharing the varint/zigzag/delta codecs in
-//! [`astra_util::codec`] with the binary checkpoint encoding.
+//! the four log formats, built on the varint/zigzag/delta codecs in
+//! [`astra_util::codec`].
 //!
 //! ## Container layout
 //!
@@ -14,7 +14,7 @@
 //! ```text
 //! header:  magic[8] = "ASTRBLG\0"
 //!          version  u16 LE (currently 1)
-//!          kind     u8     (1=ce 2=het 3=inventory 4=sensor 5=checkpoint)
+//!          kind     u8     (1=ce 2=het 3=inventory 4=sensor)
 //!          flags    u8     (0)
 //!          count    u64 LE (total records; exact pre-sizing on read)
 //!          crc      u32 LE (crc32 of the 20 bytes above)
@@ -23,9 +23,9 @@
 //!          crc      u32 LE (crc32 of payload)
 //! ```
 //!
-//! Log-kind payloads (kinds 1–4) start with a varint record count, so
-//! `fsck` can verify a file with a CRC sweep plus a one-varint peek per
-//! block — no column decode, no text reparse. Blocks hold at most
+//! Payloads start with a varint record count, so `fsck` can verify a
+//! file with a CRC sweep plus a one-varint peek per block — no column
+//! decode, no text reparse. Blocks hold at most
 //! [`BLOCK_RECORDS`] records; a flipped bit damages (and quarantines)
 //! one block, not the file.
 //!
@@ -84,8 +84,6 @@ pub const KIND_HET: u8 = 2;
 pub const KIND_INVENTORY: u8 = 3;
 /// Record-kind byte for `sensors.log`.
 pub const KIND_SENSOR: u8 = 4;
-/// Record-kind byte for binary stream checkpoints.
-pub const KIND_CHECKPOINT: u8 = 5;
 
 /// Maximum records per column block. Keeps per-block state small and
 /// bounds the blast radius of a damaged block.
@@ -1201,39 +1199,6 @@ fn read_fill_plain<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize>
     Ok(filled)
 }
 
-/// Slice-based block walk for small files held in memory (the binary
-/// checkpoint reader): validates the header against `expected_kind` and
-/// every block CRC, returning the declared record count and the block
-/// payload slices. Any damage comes back as a one-line description —
-/// checkpoint salvage treats a damaged candidate as absent.
-pub fn read_blocks(data: &[u8], expected_kind: u8) -> Result<(u64, Vec<&[u8]>), String> {
-    let count = validate_header(data.get(..HEADER_LEN).unwrap_or(data), expected_kind)
-        .map_err(|(reason, msg)| format!("{reason}: {msg}"))?;
-    let mut payloads = Vec::new();
-    let mut pos = HEADER_LEN;
-    while pos < data.len() {
-        let mut cursor = pos;
-        let len = read_u32_le(data, &mut cursor)
-            .ok_or_else(|| format!("truncated-block: block length cut short at offset {pos:#x}"))?
-            as usize;
-        let payload = data.get(cursor..cursor + len).ok_or_else(|| {
-            format!("truncated-block: block payload cut short at offset {pos:#x}")
-        })?;
-        cursor += len;
-        let stored = read_u32_le(data, &mut cursor)
-            .ok_or_else(|| format!("truncated-block: block crc cut short at offset {pos:#x}"))?;
-        let actual = crc32(payload);
-        if actual != stored {
-            return Err(format!(
-                "block-crc: mismatch at offset {pos:#x}: stored {stored:08x}, computed {actual:08x}"
-            ));
-        }
-        payloads.push(payload);
-        pos = cursor;
-    }
-    Ok((count, payloads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1573,32 +1538,6 @@ mod tests {
         assert_eq!(sweep.count(QuarantineReason::TruncatedBlock), 1);
 
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_blocks_slice_walk() {
-        let mut data = Vec::from(header_bytes(KIND_CHECKPOINT, 2));
-        append_block(&mut data, b"section one");
-        append_block(&mut data, b"section two");
-        let (count, payloads) = read_blocks(&data, KIND_CHECKPOINT).unwrap();
-        assert_eq!(count, 2);
-        assert_eq!(payloads, vec![&b"section one"[..], &b"section two"[..]]);
-
-        // Tamper with a payload byte.
-        let idx = HEADER_LEN + 4 + 2;
-        data[idx] ^= 0xFF;
-        assert!(read_blocks(&data, KIND_CHECKPOINT)
-            .unwrap_err()
-            .contains("block-crc"));
-        data[idx] ^= 0xFF;
-        // Truncate mid-block.
-        assert!(read_blocks(&data[..data.len() - 2], KIND_CHECKPOINT)
-            .unwrap_err()
-            .contains("truncated-block"));
-        // Wrong kind.
-        assert!(read_blocks(&data, KIND_CE)
-            .unwrap_err()
-            .contains("bad-version"));
     }
 
     #[test]

@@ -284,3 +284,53 @@ fn serve_rejects_checkpoint_flag_with_multiple_sites() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("single site"), "stderr: {stderr}");
 }
+
+#[test]
+fn serve_rejects_resume_flag_with_multiple_sites() {
+    let tmp = TempDir::new("badresume");
+    let a = tmp.join("a");
+    let b = tmp.join("b");
+    std::fs::create_dir_all(&a).unwrap();
+    std::fs::create_dir_all(&b).unwrap();
+    let out = Command::new(bin())
+        .args([
+            "serve",
+            a.to_str().unwrap(),
+            b.to_str().unwrap(),
+            "--resume",
+            tmp.join("ck").to_str().unwrap(),
+        ])
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn");
+    assert!(
+        !out.status.success(),
+        "one checkpoint cannot resume two sites"
+    );
+    assert!(out.stdout.is_empty(), "no listening banner expected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--resume") && stderr.contains("single site"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn serve_rejects_flags_that_conflict_with_a_site_manifest() {
+    let tmp = TempDir::new("conflict");
+    let logs = tmp.join("logs");
+    generate(&logs);
+    let out = Command::new(bin())
+        .args(["serve", logs.to_str().unwrap(), "--racks", "2"])
+        .args(["--listen", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success(), "a 2-rack flag on a 1-rack site");
+    assert!(out.stdout.is_empty(), "no listening banner expected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--racks 2 conflicts with the dataset manifest"),
+        "stderr: {stderr}"
+    );
+}

@@ -107,8 +107,7 @@ fn analysis_endpoint_is_byte_identical_to_analyze() {
     assert!(!batch.is_empty());
 
     let server = astra_core::serve::start_sites(
-        std::slice::from_ref(&logs),
-        SystemConfig::scaled(1),
+        &[(logs.clone(), SystemConfig::scaled(1))],
         &StreamOptions::default(),
         &quick_serve_opts(),
     )
@@ -174,8 +173,7 @@ fn concurrent_readers_see_single_untorn_snapshots_while_ingest_advances() {
     let tail = split_ce_log(&logs);
 
     let server = astra_core::serve::start_sites(
-        std::slice::from_ref(&logs),
-        SystemConfig::scaled(1),
+        &[(logs.clone(), SystemConfig::scaled(1))],
         &StreamOptions::default(),
         &quick_serve_opts(),
     )
